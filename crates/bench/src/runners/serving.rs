@@ -385,12 +385,12 @@ pub fn run(scale: Scale) -> RunnerResult {
                 ShardKey::building((s.building * floors + s.floor) % shards)
             }
         };
-        let mut registry = ShardedRegistry::train_wifi_with(
+        let mut catalog = ModelCatalog::from(ShardedRegistry::train_wifi_with(
             &campaign,
             keyer,
             &model_cfg,
             &RegistryConfig::default(),
-        )?;
+        )?);
 
         // Replicate test fingerprints up to the request volume.
         let features = campaign.features(&campaign.test);
@@ -406,14 +406,14 @@ pub fn run(scale: Scale) -> RunnerResult {
                         max_batch: usize,
                         budget_us: u64,
                         pipeline: bool,
-                        registry: ShardedRegistry|
-         -> Result<(ShardedRegistry, f64), Box<dyn std::error::Error>> {
+                        catalog: ModelCatalog|
+         -> Result<(ModelCatalog, f64), Box<dyn std::error::Error>> {
             let mut best = 0.0f64;
             let mut stats = Vec::new();
-            let mut registry = registry;
+            let mut catalog = catalog;
             for _ in 0..reps {
-                let server = BatchServer::start(
-                    registry,
+                let server = BatchServer::start_paged(
+                    catalog,
                     BatchConfig {
                         max_batch,
                         latency_budget: Duration::from_micros(budget_us),
@@ -422,8 +422,8 @@ pub fn run(scale: Scale) -> RunnerResult {
                     },
                 )?;
                 let rate = drive(&server, &fixes, clients, pipeline)?;
-                let (s, recovered) = server.shutdown_with_registry();
-                registry = recovered;
+                let (s, recovered) = server.shutdown_with_catalog()?;
+                catalog = recovered;
                 // Keep the stats of the *best* repetition so the JSON's
                 // rate and batch/latency columns describe the same run.
                 if rate > best {
@@ -440,7 +440,7 @@ pub fn run(scale: Scale) -> RunnerResult {
                 fixes_per_sec: best,
                 shard_stats: stats,
             });
-            Ok((registry, best))
+            Ok((catalog, best))
         };
 
         // Shard workers and client threads already use every core; letting
@@ -452,23 +452,23 @@ pub fn run(scale: Scale) -> RunnerResult {
         let pin = ThreadPin::pin_to_one();
         // Single-request serving: synchronous request/response, one fix in
         // flight per client, one inference call per fix.
-        let (reg, single_rate) = run_mode(&mut measurements, "single", 1, 0, false, registry)?;
+        let (cat, single_rate) = run_mode(&mut measurements, "single", 1, 0, false, catalog)?;
         // Streaming without coalescing isolates how much of the win comes
         // from pipelining alone vs. from the stacked inference call.
-        let (reg, _) = run_mode(&mut measurements, "pipelined", 1, 0, true, reg)?;
-        registry = reg;
+        let (cat, _) = run_mode(&mut measurements, "pipelined", 1, 0, true, cat)?;
+        catalog = cat;
         let mut best_batched = 0.0f64;
         for &max_batch in &max_batches {
             for &budget in &budgets_us {
-                let (reg, rate) = run_mode(
+                let (cat, rate) = run_mode(
                     &mut measurements,
                     "batched",
                     max_batch,
                     budget,
                     true,
-                    registry,
+                    catalog,
                 )?;
-                registry = reg;
+                catalog = cat;
                 best_batched = best_batched.max(rate);
             }
         }
@@ -477,7 +477,7 @@ pub fn run(scale: Scale) -> RunnerResult {
             single_at_reference = single_rate;
             speedup_at_reference = best_batched / single_rate.max(f64::MIN_POSITIVE);
         }
-        drop(registry);
+        drop(catalog);
     }
 
     // --- Mixed WiFi+IMU traffic (ROADMAP "IMU serving path"): one IMU
@@ -501,6 +501,7 @@ pub fn run(scale: Scale) -> RunnerResult {
         )?;
         let wifi_shards = registry.len();
         registry.insert(imu_key, Box::new(imu_model));
+        let mut catalog = ModelCatalog::from(registry);
 
         let wifi_features = campaign.features(&campaign.test);
         let fixes: Vec<(ShardKey, Vec<f64>)> = (0..total_fixes)
@@ -524,8 +525,8 @@ pub fn run(scale: Scale) -> RunnerResult {
         let mut best = 0.0f64;
         let mut stats = Vec::new();
         for _ in 0..reps {
-            let server = BatchServer::start(
-                registry,
+            let server = BatchServer::start_paged(
+                catalog,
                 BatchConfig {
                     max_batch,
                     latency_budget: Duration::from_micros(budget_us),
@@ -534,8 +535,8 @@ pub fn run(scale: Scale) -> RunnerResult {
                 },
             )?;
             let rate = drive(&server, &fixes, clients, true)?;
-            let (s, recovered) = server.shutdown_with_registry();
-            registry = recovered;
+            let (s, recovered) = server.shutdown_with_catalog()?;
+            catalog = recovered;
             if rate > best {
                 best = rate;
                 stats = s;
@@ -565,9 +566,12 @@ pub fn run(scale: Scale) -> RunnerResult {
     let mut i8_serving_mean = 0.0f64;
     {
         use noble::InferencePrecision;
-        let mut registry =
-            ShardedRegistry::train_wifi(&campaign, &model_cfg, &RegistryConfig::default())?;
-        let precision_shards = registry.len();
+        let mut catalog = ModelCatalog::from(ShardedRegistry::train_wifi(
+            &campaign,
+            &model_cfg,
+            &RegistryConfig::default(),
+        )?);
+        let precision_shards = catalog.len();
         let wifi_features = campaign.features(&campaign.test);
         let fixes: Vec<(ShardKey, Vec<f64>)> = (0..total_fixes)
             .map(|i| {
@@ -591,8 +595,8 @@ pub fn run(scale: Scale) -> RunnerResult {
             let mut best = 0.0f64;
             let mut stats = Vec::new();
             for _ in 0..reps {
-                let server = BatchServer::start(
-                    registry,
+                let server = BatchServer::start_paged(
+                    catalog,
                     BatchConfig {
                         max_batch,
                         latency_budget: Duration::from_micros(budget_us),
@@ -602,10 +606,11 @@ pub fn run(scale: Scale) -> RunnerResult {
                     },
                 )?;
                 let (answers, _, rate) = drive_collect(&server, &fixes, clients)?;
-                let (s, recovered) = server.shutdown_with_registry();
-                // stop() hands back the exact progenitors, so each tier
-                // lowers fresh from f64 state — twins never re-lower.
-                registry = recovered;
+                let (s, recovered) = server.shutdown_with_catalog()?;
+                // Lowered twins write their exact f64 snapshots back
+                // through the store at shutdown, so each tier lowers
+                // fresh from f64 state — twins never re-lower.
+                catalog = recovered;
                 match precision {
                     InferencePrecision::Exact => {
                         if exact_answers.is_empty() {
@@ -668,7 +673,7 @@ pub fn run(scale: Scale) -> RunnerResult {
             });
         }
         drop(pin);
-        drop(registry);
+        drop(catalog);
     }
 
     // --- Demand-paged oversubscribed serving (ROADMAP "store-aware

@@ -42,7 +42,7 @@
 //! `overload_behavior` fairness test).
 
 use crate::frame::{Frame, RejectReason, Rejection};
-use crate::sync::{relock, rewait};
+use noble_serve::sync::{relock, rewait};
 use noble_serve::ShardKey;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -65,7 +65,6 @@ mod error;
 pub mod frame;
 pub mod loadgen;
 mod server;
-mod sync;
 
 pub use client::{NetClient, NetReceiver, NetSender};
 pub use error::NetError;

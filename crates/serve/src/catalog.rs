@@ -23,9 +23,9 @@
 //! ticks so an un-honorable budget is observable.
 //!
 //! For serving, [`ModelCatalog::into_shared`] converts the catalog into
-//! a [`SharedCatalog`]: the thread-shared face that demand-paged shard
-//! workers lease models out of and release them back into
-//! ([`crate::BatchServer::start_paged`]). Faulting — store reads,
+//! a [`SharedCatalog`]: the thread-shared face that a
+//! [`crate::BatchServer`]'s shard workers lease models out of and
+//! release them back into. Faulting — store reads,
 //! hydration, retraining — runs *outside* the shared state lock, so
 //! concurrently faulting shards overlap instead of queueing behind one
 //! another; only same-shard lease/release pairs are serialized.
@@ -295,7 +295,7 @@ impl ModelCatalog {
         store: Box<dyn ModelStore>,
     ) -> Result<Self, ServeError> {
         let mut catalog = Self::with_store(budget, store)?;
-        for (key, model) in registry.into_shards() {
+        for (key, model) in ModelCatalog::from(registry).into_shards() {
             catalog.insert_sited(key, model)?;
         }
         Ok(catalog)
@@ -333,7 +333,7 @@ impl ModelCatalog {
     }
 
     /// [`ModelCatalog::insert`] for a model whose site metadata is
-    /// already labeled (restores from a stopping `BatchServer`).
+    /// already labeled (a model moving over from another catalog).
     pub(crate) fn insert_sited(
         &mut self,
         key: ShardKey,
@@ -502,10 +502,9 @@ impl ModelCatalog {
         Ok(self.resident.len())
     }
 
-    /// Consumes the catalog into its *resident* `(key, model)` pairs (the
-    /// batch server hand-off; cold tiers are dropped with the catalog —
-    /// persist them first via the shared store or
-    /// [`ModelCatalog::export_to`]).
+    /// Consumes the catalog into its *resident* `(key, model)` pairs
+    /// (cold tiers are dropped with the catalog — persist them first via
+    /// the shared store or [`ModelCatalog::export_to`]).
     pub fn into_shards(self) -> Vec<(ShardKey, Box<dyn Localizer>)> {
         self.resident
             .into_iter()
@@ -513,8 +512,8 @@ impl ModelCatalog {
             .collect()
     }
 
-    /// Converts the catalog into its thread-shared face for demand-paged
-    /// serving (see [`SharedCatalog`]). All three tiers carry over:
+    /// Converts the catalog into its thread-shared face for serving
+    /// (see [`SharedCatalog`]). All three tiers carry over:
     /// resident models become the parked tier, the store and spec tiers
     /// serve cold faults.
     pub fn into_shared(self) -> SharedCatalog {
@@ -727,8 +726,8 @@ struct SharedState {
     stats: CatalogStats,
 }
 
-/// The thread-shared face of a [`ModelCatalog`], built for demand-paged
-/// serving ([`crate::BatchServer::start_paged`]).
+/// The thread-shared face of a [`ModelCatalog`], built for serving
+/// ([`crate::BatchServer`]).
 ///
 /// Shard workers *lease* a model out of the catalog on their first
 /// request (a parked-tier hit, a store-tier hydration, or a spec-tier
@@ -772,7 +771,7 @@ impl fmt::Debug for SharedCatalog {
 
 impl SharedCatalog {
     /// The configured budget (enforced across *leased* models by the
-    /// paged server, and across parked models when converting back to a
+    /// server, and across parked models when converting back to a
     /// [`ModelCatalog`]).
     pub fn budget(&self) -> CatalogBudget {
         self.budget
@@ -1017,28 +1016,11 @@ impl SharedCatalog {
         drop(stale);
     }
 
-    /// Takes every parked model out of the catalog without budget
-    /// trimming (the registry hand-off: the caller wants the live models
-    /// themselves, not a budget-enforced resident tier). Stored
-    /// snapshots and specs stay behind and are dropped with `self`.
-    pub(crate) fn take_parked(&self) -> Vec<(ShardKey, Box<dyn Localizer>)> {
-        let mut state = relock(&self.state);
-        // A leftover pending activation (its lease was never released)
-        // supersedes the parked generation of the same key.
-        let pending = std::mem::take(&mut state.pending);
-        let mut parked = std::mem::take(&mut state.parked);
-        parked.extend(pending);
-        parked
-            .into_iter()
-            .map(|(key, resident)| (key, resident.model))
-            .collect()
-    }
-
     /// Drains the shared state back into a single-threaded
     /// [`ModelCatalog`] (parked models become the resident tier, trimmed
     /// back under the budget with write-through evictions). Any model
     /// still leased when this runs stays with its worker and is simply
-    /// absent — the paged server only calls this after joining every
+    /// absent — the server only calls this after joining every
     /// worker.
     ///
     /// # Errors

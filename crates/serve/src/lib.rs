@@ -27,17 +27,19 @@
 //!   gracefully, [`BatchServer::stats`] reports per-shard
 //!   throughput/latency, and [`BatchServer::start_from_store`]
 //!   warm-restarts straight from persisted snapshots, skipping
-//!   retraining entirely. It runs in one of two disciplines:
-//!   [`BatchServer::start`] keeps every shard's model and worker alive
-//!   (fully resident), while [`BatchServer::start_paged`] **demand-pages
-//!   shards over a shared catalog** — workers fault models in on a
-//!   shard's first request and spin down when idle or when a colder
-//!   shard needs their budget slot, so one process serves strictly more
-//!   shards than fit under the [`CatalogBudget`]
-//!   ([`BatchServer::paged_stats`] counts faults, spin-downs and drains).
-//! - [`Refresher`] ([`BatchServer::refresher`], demand-paged servers
-//!   only) is the online-learning tier: served fixes and ground-truth
-//!   corrections accumulate in a bounded per-shard [`ObservationBuffer`]
+//!   retraining entirely. There is one engine: shard workers **page
+//!   models over a shared catalog**, faulting them in and spinning down
+//!   when idle or when a colder shard needs their budget slot
+//!   ([`BatchServer::paged_stats`] counts faults, spin-downs and
+//!   drains). It has two constructors: [`BatchServer::start_paged`] is
+//!   budgeted and lazy (a worker spawns on its shard's first request,
+//!   so one process serves strictly more shards than fit under the
+//!   [`CatalogBudget`]), while [`BatchServer::start`] serves a
+//!   registry's unbounded catalog pre-warmed (every worker and model
+//!   resident before it returns).
+//! - [`Refresher`] ([`BatchServer::refresher`]) is the online-learning
+//!   tier: served fixes and ground-truth corrections accumulate in a
+//!   bounded per-shard [`ObservationBuffer`]
 //!   ([`BufferLimits`]), and [`Refresher::refresh`] retrains a copy of
 //!   the shard model off the serving path, archives it through the
 //!   [`ModelStore`] as the next version, and atomically activates it at
@@ -93,7 +95,7 @@ mod registry;
 mod server;
 mod session;
 mod store;
-mod sync;
+pub mod sync;
 
 pub use buffer::{BufferLimits, Observation, ObservationBuffer, ObservationKind, PushOutcome};
 pub use catalog::{CatalogBudget, CatalogStats, ModelCatalog, SharedCatalog, TrainSpec};

@@ -1,8 +1,7 @@
-//! Online refresh: versioned live model updates for a demand-paged
-//! server.
+//! Online refresh: versioned live model updates for a running server.
 //!
-//! A [`Refresher`] rides next to a running
-//! [`crate::BatchServer::start_paged`] server and closes the loop
+//! A [`Refresher`] rides next to a running [`crate::BatchServer`]
+//! (resident or demand-paged) and closes the loop
 //! between serving and training:
 //!
 //! 1. **observe** — served fixes and ground-truth *corrections* stream
@@ -80,7 +79,7 @@ pub struct BufferStats {
     pub evicted_corrections: u64,
 }
 
-/// The online-refresh companion of a demand-paged [`crate::BatchServer`]
+/// The online-refresh companion of a [`crate::BatchServer`]
 /// (see the module docs; obtain one via
 /// [`crate::BatchServer::refresher`]).
 ///

@@ -156,30 +156,24 @@ pub fn partition_campaign(
 /// and suites compile unchanged.
 ///
 /// **Deprecated as a primary API**: the registry keeps *every* model
-/// resident (an unbounded catalog), which is exactly the grow-only
-/// memory behavior [`ModelCatalog`] was built to replace — and it is
-/// invisible to the versioned-model machinery: model version lineage
-/// (activation, rollback, archived snapshots) lives solely in the
-/// shared catalog behind a demand-paged server, so registry-served
-/// shards are frozen at their training-time weights with no online
-/// refresh. Migrate in two steps:
+/// resident (an unbounded catalog with an in-memory store and no train
+/// specs), which is exactly the grow-only memory behavior
+/// [`ModelCatalog`] was built to replace. [`crate::BatchServer::start`]
+/// serves it as that unbounded catalog, pre-warmed: one hot worker per
+/// shard from the start. A registry carries no training specs, so
+/// [`crate::Refresher::refresh`] rejects its shards with a typed error
+/// and they stay at their training-time weights. Migrate in two steps:
 ///
 /// 1. build a [`ModelCatalog`] with a [`CatalogBudget`] and usually a
 ///    [`crate::FsStore`] — either directly
 ///    ([`ModelCatalog::register_wifi_campaign`] /
 ///    [`ModelCatalog::register_imu_campaign`] for lazy training) or via
 ///    [`ShardedRegistry::into_catalog`] for an already-trained registry;
-/// 2. serve it demand-paged with [`crate::BatchServer::start_paged`],
-///    which replaces the one-worker-per-shard assumption of
-///    [`crate::BatchServer::start`] with request-driven shard
-///    spin-up/spin-down under the same budget — and is the only serving
-///    discipline that supports live model refresh
-///    ([`crate::BatchServer::refresher`] / [`crate::Refresher`]).
+/// 2. serve it with [`crate::BatchServer::start_paged`], which spins
+///    shard workers up on demand and down under the same budget.
 ///
 /// Routing is by exact [`ShardKey`]; an unknown key is the typed
-/// [`ServeError::UnknownShard`], never a panic. The registry is the
-/// hand-off point to [`crate::BatchServer`], which moves each shard's
-/// model onto its own worker thread.
+/// [`ServeError::UnknownShard`], never a panic.
 pub struct ShardedRegistry {
     catalog: ModelCatalog,
 }
@@ -352,25 +346,5 @@ impl ShardedRegistry {
         store: Box<dyn ModelStore>,
     ) -> Result<ModelCatalog, ServeError> {
         ModelCatalog::adopt(self, budget, store)
-    }
-
-    /// Consumes the registry into `(key, localizer)` pairs for the batch
-    /// server's per-shard workers.
-    pub fn into_shards(self) -> Vec<(ShardKey, Box<dyn Localizer>)> {
-        self.catalog.into_shards()
-    }
-
-    /// Rebuilds a registry from already-sited shards handed back by a
-    /// stopping [`crate::BatchServer`] (no re-wrapping, no relabeling).
-    pub(crate) fn restore(shards: Vec<(ShardKey, Box<dyn Localizer>)>) -> Self {
-        let mut registry = ShardedRegistry::new();
-        for (key, model) in shards {
-            registry
-                .catalog
-                .insert_sited(key, model)
-                // noble-lint: allow(panic-path, "insert only fails on write-through eviction, which an unbounded catalog never performs; restore rebuilds a registry that held these models")
-                .expect("an unbounded catalog never evicts, so insert cannot fail");
-        }
-        registry
     }
 }

@@ -1,16 +1,23 @@
-//! The micro-batching request pipeline, in two serving disciplines.
+//! The micro-batching request pipeline: one serving engine, two
+//! constructors.
 //!
-//! [`BatchServer::start`] is the **fully-resident** server: one std
-//! worker thread per shard, every model materialized up front. Clients
-//! submit fingerprints tagged with a [`ShardKey`]; the shard's worker
-//! coalesces whatever arrives within a **latency budget** (or up to a
-//! **max batch size**) into one stacked [`Localizer::localize_batch`]
-//! call and fans the results back through per-request reply channels.
+//! Clients submit fingerprints tagged with a [`ShardKey`]; the shard's
+//! worker thread coalesces whatever arrives within a **latency budget**
+//! (or up to a **max batch size**) into one stacked
+//! [`Localizer::localize_batch`] call and fans the results back through
+//! per-request reply channels. Workers lease their models from a shared
+//! [`crate::SharedCatalog`], so every server serves every shard of a
+//! [`crate::ModelCatalog`] — resident, stored, or merely spec-registered
+//! — while keeping only the catalog's [`crate::CatalogBudget`] worth of
+//! models (and worker threads) alive.
 //!
-//! [`BatchServer::start_paged`] is the **demand-paged** server: it
-//! serves every shard of a [`crate::ModelCatalog`] — resident, stored,
-//! or merely spec-registered — while keeping only the catalog's
-//! [`crate::CatalogBudget`] worth of models (and worker threads) alive.
+//! - [`BatchServer::start_paged`] is **budgeted and lazy**: a shard's
+//!   worker spawns on its first request.
+//! - [`BatchServer::start`] is **unbounded and pre-warmed**: it serves a
+//!   [`crate::ShardedRegistry`] (an [`crate::CatalogBudget::Unbounded`]
+//!   catalog) and spawns every shard's worker before it returns, so
+//!   every model is resident and no request ever waits on a fault.
+//!
 //! Each shard walks a four-state lifecycle:
 //!
 //! ```text
@@ -41,9 +48,9 @@
 //!
 //! Because model snapshot round-trips and key-derived retrains are
 //! bit-identical (pinned by the `snapshot_roundtrip` and `model_store`
-//! suites), a demand-paged server returns the **exact bits** the
-//! fully-resident server returns — oversubscription buys memory, never
-//! changes answers (pinned by `serving_parity`).
+//! suites), an oversubscribed server returns the **exact bits** a
+//! resident one returns — oversubscription buys memory, never changes
+//! answers (pinned by `serving_parity`).
 //!
 //! The container targets offline std-only builds, so there is no async
 //! runtime: blocking `mpsc` channels plus `recv_timeout` implement the
@@ -90,7 +97,7 @@
 
 use crate::catalog::SharedCatalog;
 use crate::refresh::{RefreshConfig, Refresher};
-use crate::sync::{relock, rewait_timeout};
+use crate::sync::{relock, rewait, rewait_timeout};
 use crate::{
     CatalogBudget, CatalogStats, ModelCatalog, ModelStore, ServeError, ShardKey, ShardedRegistry,
 };
@@ -113,11 +120,11 @@ pub struct BatchConfig {
     /// after the first request arrives. `ZERO` disables coalescing
     /// waits (each batch is whatever is already queued).
     pub latency_budget: Duration,
-    /// Demand-paged servers only ([`BatchServer::start_paged`]): how
-    /// long a hot shard worker sits with an empty queue before spinning
-    /// itself down (writing its model back through the store and
-    /// exiting). `None` — the default — means idle shards stay hot and
-    /// spin down only under budget pressure (the LRU drain policy).
+    /// How long a hot shard worker sits with an empty queue before
+    /// spinning itself down (writing its model back through the store
+    /// and exiting); applies to every server, resident ones included.
+    /// `None` — the default — means idle shards stay hot and spin down
+    /// only under budget pressure (the LRU drain policy).
     pub idle_ttl: Option<Duration>,
     /// Tracking-session servers only ([`crate::TrackingServer`]): number
     /// of independently locked shards the per-device session table is
@@ -138,7 +145,7 @@ pub struct BatchConfig {
     /// Inference tier shards serve in. `Exact` — the default — serves
     /// the f64 models untouched (bit-identical to every earlier
     /// release). `F32` / `Int8` lower each model once, off the hot path
-    /// (at resident startup, or right after a paged fault-in), via
+    /// (right after a worker faults its model in), via
     /// [`Localizer::try_lower`]; models that cannot lower (e.g. the kNN
     /// radio map) keep serving exact. Lowered shards stay within the
     /// tier's accuracy gate, and persistence write-through always
@@ -162,12 +169,10 @@ impl Default for BatchConfig {
 
 /// Lowers a leased model into `precision` when requested and possible,
 /// *discarding* the exact progenitor; models that cannot lower (or an
-/// `Exact` config) serve unchanged. Paged workers use this at fault-in —
+/// `Exact` config) serve unchanged. Workers use this at fault-in —
 /// dropping the f64 model is the point (only the lowered twin stays
 /// resident), and persistence is safe because the twin's snapshot is the
-/// progenitor's exact state. The fully-resident server stashes the
-/// progenitor instead (see [`BatchServer::start`]) so shutdown hands
-/// exact models back.
+/// progenitor's exact state.
 fn lower_for_serving(
     model: Box<dyn Localizer>,
     precision: InferencePrecision,
@@ -299,11 +304,10 @@ enum Job {
         enqueued: Instant,
         reply: Sender<Result<Point, ServeError>>,
     },
-    /// Paged only: retire after serving everything queued ahead of this
-    /// marker; write the model back through the store and free it.
+    /// Retire after serving everything queued ahead of this marker;
+    /// write the model back through the store and free it.
     Drain,
-    /// Retire after serving the backlog. A static worker returns its
-    /// model to the caller; a paged worker parks it in the shared
+    /// Retire after serving the backlog and park the model in the shared
     /// catalog.
     Shutdown,
 }
@@ -328,74 +332,34 @@ impl PendingFix {
 
     /// Whether this fix found its shard cold (or still warming) and had
     /// to park while the model faulted in — always `false` on a
-    /// fully-resident server. Latency-sensitive callers use this to
-    /// split cold-start tails from steady-state percentiles.
+    /// pre-warmed [`BatchServer::start`] server unless an
+    /// [`BatchConfig::idle_ttl`] spun a shard down. Latency-sensitive
+    /// callers use this to split cold-start tails from steady-state
+    /// percentiles.
     pub fn cold(&self) -> bool {
         self.cold
     }
 }
 
-/// One fully-resident shard's submission route: its worker's sender plus
-/// the gauges the submit path ticks.
-#[derive(Clone)]
-struct StaticRoute {
-    tx: Sender<Job>,
-    gauges: Arc<ShardGauges>,
-}
-
-/// Routing table behind a [`ServeClient`] (and the server itself).
-#[derive(Clone)]
-enum Router {
-    /// Fixed sender per shard, workers alive for the server's lifetime.
-    Static(BTreeMap<ShardKey, StaticRoute>),
-    /// Dynamic: senders appear and disappear as shards spin up and down.
-    Paged(Arc<PagedEngine>),
-}
-
 /// A cloneable submission handle onto a running [`BatchServer`].
 #[derive(Clone)]
 pub struct ServeClient {
-    router: Router,
+    engine: Arc<PagedEngine>,
 }
 
 impl ServeClient {
     /// Enqueues one fingerprint for `key`'s shard and returns the pending
     /// reply without blocking (clients pipeline by submitting many fixes
-    /// before waiting — that depth is what the worker coalesces). On a
-    /// demand-paged server, a submit to a cold shard spins its worker up
-    /// and parks the request while the model faults in.
+    /// before waiting — that depth is what the worker coalesces). A
+    /// submit to a cold shard spins its worker up and parks the request
+    /// while the model faults in.
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownShard`] for an unroutable key,
     /// [`ServeError::ShuttingDown`] when the server is stopping.
     pub fn submit(&self, key: ShardKey, fingerprint: Vec<f64>) -> Result<PendingFix, ServeError> {
-        match &self.router {
-            Router::Static(routes) => {
-                let route = routes.get(&key).ok_or(ServeError::UnknownShard(key))?;
-                let (tx, rx) = mpsc::channel();
-                // Gauges tick up *before* the send so the worker's
-                // matching decrement can never land first; a failed send
-                // takes them back down.
-                route.gauges.queued.fetch_add(1, Ordering::AcqRel);
-                route.gauges.in_flight.fetch_add(1, Ordering::AcqRel);
-                route
-                    .tx
-                    .send(Job::Fix {
-                        fingerprint,
-                        // noble-lint: allow(wall-clock, "enqueue stamp feeds latency metrics only; results never read it")
-                        enqueued: Instant::now(),
-                        reply: tx,
-                    })
-                    .map_err(|_| {
-                        ShardGauges::dec(&route.gauges.queued);
-                        ShardGauges::dec(&route.gauges.in_flight);
-                        ServeError::ShuttingDown
-                    })?;
-                Ok(PendingFix { rx, cold: false })
-            }
-            Router::Paged(engine) => engine.submit(key, fingerprint),
-        }
+        self.engine.submit(key, fingerprint)
     }
 
     /// Submits and blocks for the result (the per-fix convenience path).
@@ -409,10 +373,7 @@ impl ServeClient {
 
     /// Keys this client can route to.
     pub fn keys(&self) -> Vec<ShardKey> {
-        match &self.router {
-            Router::Static(routes) => routes.keys().copied().collect(),
-            Router::Paged(engine) => engine.keys.iter().copied().collect(),
-        }
+        self.engine.keys.iter().copied().collect()
     }
 
     /// Whole-server queue gauge snapshot (see
@@ -420,22 +381,8 @@ impl ServeClient {
     /// admission layer holding only a [`ServeClient`] can read its
     /// watermarks without a reference to the server.
     pub fn server_stats(&self) -> ServerStats {
-        match &self.router {
-            Router::Static(routes) => sum_gauges(routes.values().map(|r| r.gauges.as_ref())),
-            Router::Paged(engine) => sum_gauges(engine.gauges.values().map(Arc::as_ref)),
-        }
+        self.engine.server_stats()
     }
-}
-
-/// Sums per-shard gauges into a [`ServerStats`] snapshot.
-fn sum_gauges<'a>(gauges: impl Iterator<Item = &'a ShardGauges>) -> ServerStats {
-    let mut out = ServerStats::default();
-    for g in gauges {
-        out.queue_depth += g.queued.load(Ordering::Acquire);
-        out.in_flight += g.in_flight.load(Ordering::Acquire);
-        out.shards += 1;
-    }
-    out
 }
 
 /// A shard's routing slot. Absent from the map = COLD (no worker).
@@ -473,7 +420,7 @@ struct Slots {
     workers: Vec<JoinHandle<()>>,
 }
 
-/// Shared state of a demand-paged server.
+/// Shared state of a [`BatchServer`] and its clients.
 pub(crate) struct PagedEngine {
     pub(crate) catalog: SharedCatalog,
     cfg: BatchConfig,
@@ -484,7 +431,8 @@ pub(crate) struct PagedEngine {
     /// Byte bound on held models ([`CatalogBudget::Bytes`]).
     byte_budget: Option<usize>,
     slots: Mutex<Slots>,
-    /// Signals occupancy releases to warming workers waiting for room.
+    /// Signals occupancy releases to warming workers waiting for room,
+    /// and shards turning hot to a pre-warming [`BatchServer::start`].
     room: Condvar,
     shutting_down: AtomicBool,
     stats: BTreeMap<ShardKey, Arc<Mutex<ShardStats>>>,
@@ -493,6 +441,38 @@ pub(crate) struct PagedEngine {
 }
 
 impl PagedEngine {
+    /// Spawns every shard's worker and waits until each holds its model,
+    /// so no request to a resident server parks behind a fault.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Internal`] when the OS refuses a worker thread.
+    fn prewarm(self: &Arc<Self>) -> Result<(), ServeError> {
+        let mut slots = relock(&self.slots);
+        for &key in &self.keys {
+            self.spawn_worker(&mut slots, key)?;
+        }
+        while slots
+            .map
+            .values()
+            .any(|slot| matches!(slot, Slot::Warming { .. }))
+        {
+            slots = rewait(&self.room, slots);
+        }
+        Ok(())
+    }
+
+    /// Sums the per-shard gauges into a [`ServerStats`] snapshot.
+    fn server_stats(&self) -> ServerStats {
+        let mut out = ServerStats::default();
+        for g in self.gauges.values() {
+            out.queue_depth += g.queued.load(Ordering::Acquire);
+            out.in_flight += g.in_flight.load(Ordering::Acquire);
+            out.shards += 1;
+        }
+        out
+    }
+
     fn submit(
         self: &Arc<Self>,
         key: ShardKey,
@@ -653,7 +633,7 @@ impl PagedEngine {
     }
 }
 
-/// How a paged worker retires.
+/// How a shard worker retires.
 enum Retire {
     /// Write the model back through the store and free it. `requested`
     /// distinguishes a budget-pressure drain (counted in
@@ -664,9 +644,9 @@ enum Retire {
     Park,
 }
 
-/// A demand-paged shard worker: claim a budget slot (draining an LRU
-/// victim if the server is at capacity), lease the model, serve batches,
-/// retire. See the module docs for the state diagram.
+/// A shard worker: claim a budget slot (draining an LRU victim if the
+/// server is at capacity), lease the model, serve batches, retire. See
+/// the module docs for the state diagram.
 fn paged_worker(
     engine: Arc<PagedEngine>,
     key: ShardKey,
@@ -744,6 +724,7 @@ fn paged_worker(
                 };
             }
         }
+        engine.room.notify_all();
         // Byte budgets learn a model's cost only after the lease; shed
         // least-recently-active peers if this one pushed past the bound —
         // counting the bytes already draining, so one oversized lease
@@ -934,91 +915,27 @@ fn reject_parked(
     }
 }
 
-/// The serving engine behind a [`BatchServer`].
-enum Engine {
-    Static {
-        routes: BTreeMap<ShardKey, StaticRoute>,
-        stats: BTreeMap<ShardKey, Arc<Mutex<ShardStats>>>,
-        workers: Vec<(ShardKey, JoinHandle<Box<dyn Localizer>>)>,
-        /// Exact progenitors of shards serving a lowered twin: held so
-        /// shutdown hands back full-precision models, not the twins.
-        exact: BTreeMap<ShardKey, Box<dyn Localizer>>,
-    },
-    Paged(Arc<PagedEngine>),
-}
-
 /// The running micro-batching server (see the module docs).
 pub struct BatchServer {
-    engine: Engine,
+    engine: Arc<PagedEngine>,
 }
 
 impl BatchServer {
-    /// Moves every shard of `registry` onto its own worker thread and
-    /// starts accepting requests (the fully-resident discipline — for
-    /// more shards than fit in memory, see [`BatchServer::start_paged`]).
+    /// Starts a **resident** server: every shard of `registry` (an
+    /// unbounded catalog) gets its worker and model before this returns,
+    /// so no request parks behind a fault and [`PendingFix::cold`] stays
+    /// `false`. It is [`BatchServer::start_paged`] over
+    /// `ModelCatalog::from(registry)`, pre-warmed.
     ///
     /// # Errors
     ///
     /// [`ServeError::NoShards`] for an empty registry,
-    /// [`ServeError::InvalidConfig`] for a zero `max_batch`.
+    /// [`ServeError::InvalidConfig`] for a zero `max_batch`,
+    /// [`ServeError::Internal`] when the OS refuses a worker thread.
     pub fn start(registry: ShardedRegistry, cfg: BatchConfig) -> Result<Self, ServeError> {
-        if registry.is_empty() {
-            return Err(ServeError::NoShards);
-        }
-        if cfg.max_batch == 0 {
-            return Err(ServeError::InvalidConfig("max_batch must be >= 1".into()));
-        }
-        let mut routes = BTreeMap::new();
-        let mut stats = BTreeMap::new();
-        let mut workers = Vec::new();
-        let mut exact = BTreeMap::new();
-        for (key, localizer) in registry.into_shards() {
-            // A lowered tier serves the twin but keeps the exact
-            // progenitor parked: shutdown_with_registry must hand back
-            // full-precision models (and a restart may pick a different
-            // tier). Models that cannot lower keep serving exact.
-            let localizer = if cfg.precision == InferencePrecision::Exact {
-                localizer
-            } else {
-                match localizer.try_lower(cfg.precision) {
-                    Some(twin) => {
-                        exact.insert(key, localizer);
-                        twin
-                    }
-                    None => localizer,
-                }
-            };
-            let (tx, rx) = mpsc::channel::<Job>();
-            let shard_stats = Arc::new(Mutex::new(ShardStats::default()));
-            let worker_stats = Arc::clone(&shard_stats);
-            let shard_gauges = Arc::new(ShardGauges::default());
-            let worker_gauges = Arc::clone(&shard_gauges);
-            // Workers spawned before a failure wind down on their own:
-            // dropping `routes` disconnects their channels.
-            let handle = std::thread::Builder::new()
-                .name(format!("noble-serve-{key}"))
-                .spawn(move || shard_worker(localizer, key, rx, cfg, &worker_stats, &worker_gauges))
-                .map_err(|e| {
-                    ServeError::Internal(format!("cannot spawn worker for shard {key}: {e}"))
-                })?;
-            routes.insert(
-                key,
-                StaticRoute {
-                    tx,
-                    gauges: shard_gauges,
-                },
-            );
-            stats.insert(key, shard_stats);
-            workers.push((key, handle));
-        }
-        Ok(BatchServer {
-            engine: Engine::Static {
-                routes,
-                stats,
-                workers,
-                exact,
-            },
-        })
+        let server = BatchServer::start_paged(ModelCatalog::from(registry), cfg)?;
+        server.engine.prewarm()?;
+        Ok(server)
     }
 
     /// Starts a **demand-paged** server over every shard the catalog can
@@ -1028,7 +945,7 @@ impl BatchServer {
     /// idle TTL or budget pressure (see the module docs), so one process
     /// serves strictly more shards than the catalog's
     /// [`crate::CatalogBudget`] allows resident, with answers
-    /// bit-identical to the fully-resident server.
+    /// bit-identical to a resident server.
     ///
     /// # Errors
     ///
@@ -1057,7 +974,7 @@ impl BatchServer {
             .map(|k| (*k, Arc::new(ShardGauges::default())))
             .collect();
         Ok(BatchServer {
-            engine: Engine::Paged(Arc::new(PagedEngine {
+            engine: Arc::new(PagedEngine {
                 catalog: shared,
                 cfg,
                 keys,
@@ -1077,7 +994,7 @@ impl BatchServer {
                 stats,
                 gauges,
                 paged: Mutex::new(PagedStats::default()),
-            })),
+            }),
         })
     }
 
@@ -1111,41 +1028,29 @@ impl BatchServer {
     /// A new submission handle (cheap to clone per client thread).
     pub fn client(&self) -> ServeClient {
         ServeClient {
-            router: match &self.engine {
-                Engine::Static { routes, .. } => Router::Static(routes.clone()),
-                Engine::Paged(engine) => Router::Paged(Arc::clone(engine)),
-            },
+            engine: Arc::clone(&self.engine),
         }
     }
 
     /// Shard keys being served.
     pub fn keys(&self) -> Vec<ShardKey> {
-        match &self.engine {
-            Engine::Static { routes, .. } => routes.keys().copied().collect(),
-            Engine::Paged(engine) => engine.keys.iter().copied().collect(),
-        }
+        self.engine.keys.iter().copied().collect()
     }
 
     /// Live per-shard statistics snapshot, in key order, with the queue
     /// gauges overlaid as of the read.
     pub fn stats(&self) -> Vec<(ShardKey, ShardStats)> {
-        fn overlay(s: &Arc<Mutex<ShardStats>>, g: &ShardGauges) -> ShardStats {
-            let mut snap = relock(s).clone();
-            snap.queue_depth = g.queued.load(Ordering::Acquire);
-            snap.in_flight = g.in_flight.load(Ordering::Acquire);
-            snap
-        }
-        match &self.engine {
-            Engine::Static { routes, stats, .. } => stats
-                .iter()
-                .map(|(k, s)| (*k, overlay(s, &routes[k].gauges)))
-                .collect(),
-            Engine::Paged(engine) => engine
-                .stats
-                .iter()
-                .map(|(k, s)| (*k, overlay(s, &engine.gauges[k])))
-                .collect(),
-        }
+        self.engine
+            .stats
+            .iter()
+            .map(|(k, s)| {
+                let g = &self.engine.gauges[k];
+                let mut snap = relock(s).clone();
+                snap.queue_depth = g.queued.load(Ordering::Acquire);
+                snap.in_flight = g.in_flight.load(Ordering::Acquire);
+                (*k, snap)
+            })
+            .collect()
     }
 
     /// Whole-server queue gauge snapshot: how much work is waiting and in
@@ -1153,51 +1058,39 @@ impl BatchServer {
     /// [`ServeClient::server_stats`]) is what the `noble-net` admission
     /// layer reads for its shedding watermarks.
     pub fn server_stats(&self) -> ServerStats {
-        match &self.engine {
-            Engine::Static { routes, .. } => sum_gauges(routes.values().map(|r| r.gauges.as_ref())),
-            Engine::Paged(engine) => sum_gauges(engine.gauges.values().map(Arc::as_ref)),
-        }
+        self.engine.server_stats()
     }
 
-    /// Demand-paging lifecycle counters; `None` on a fully-resident
-    /// server.
-    /// Builds the online-refresh companion of a demand-paged server: a
-    /// [`Refresher`] sharing this server's catalog, through which
-    /// buffered corrections become new model versions that workers pick
-    /// up at batch boundaries (see [`Refresher`]'s docs).
+    /// Builds the online-refresh companion of this server: a
+    /// [`Refresher`] sharing its catalog, through which buffered
+    /// corrections become new model versions that workers pick up at
+    /// batch boundaries (see [`Refresher`]'s docs).
     ///
     /// # Errors
     ///
-    /// [`ServeError::InvalidConfig`] for fully-resident servers
-    /// ([`BatchServer::start`]) — live refresh needs the versioned
-    /// catalog underneath [`BatchServer::start_paged`].
+    /// None today: every server runs over a versioned catalog. The
+    /// `Result` is kept for source compatibility.
     pub fn refresher(&self, cfg: RefreshConfig) -> Result<Refresher, ServeError> {
-        match &self.engine {
-            Engine::Static { .. } => Err(ServeError::InvalidConfig(
-                "online refresh requires a demand-paged server (BatchServer::start_paged)".into(),
-            )),
-            Engine::Paged(engine) => Ok(Refresher::new(Arc::clone(engine), cfg)),
-        }
+        Ok(Refresher::new(Arc::clone(&self.engine), cfg))
     }
 
+    /// Demand-paging lifecycle counters: faults, spin-downs, drains,
+    /// parked requests, hot workers, version swaps and the shared
+    /// catalog's counters. Always `Some`; the `Option` is kept only for
+    /// source compatibility.
     pub fn paged_stats(&self) -> Option<PagedStats> {
-        match &self.engine {
-            Engine::Static { .. } => None,
-            Engine::Paged(engine) => {
-                // Declared lock order: slots strictly before paged.
-                let hot_shards = {
-                    let slots = relock(&engine.slots);
-                    slots.occupancy
-                };
-                let mut paged = {
-                    let counters = relock(&engine.paged);
-                    *counters
-                };
-                paged.hot_shards = hot_shards;
-                paged.catalog = engine.catalog.stats();
-                Some(paged)
-            }
-        }
+        // Declared lock order: slots strictly before paged.
+        let hot_shards = {
+            let slots = relock(&self.engine.slots);
+            slots.occupancy
+        };
+        let mut paged = {
+            let counters = relock(&self.engine.paged);
+            *counters
+        };
+        paged.hot_shards = hot_shards;
+        paged.catalog = self.engine.catalog.stats();
+        Some(paged)
     }
 
     /// Graceful shutdown: each worker finishes every request already
@@ -1211,29 +1104,10 @@ impl BatchServer {
         self.stats()
     }
 
-    /// Like [`BatchServer::shutdown`], but also hands the shard models
-    /// back as a registry so a caller can restart serving under different
-    /// batching knobs without retraining (the benchmark sweep's pattern).
-    /// On a demand-paged server the registry holds the models that were
-    /// live (hot or parked) at shutdown — shards that existed only as
-    /// stored snapshots or train specs are dropped with the engine;
-    /// prefer [`BatchServer::shutdown_with_catalog`], which keeps every
-    /// tier.
-    pub fn shutdown_with_registry(mut self) -> (Vec<(ShardKey, ShardStats)>, ShardedRegistry) {
-        let mut shards = self.stop();
-        let stats = self.stats();
-        if let Engine::Paged(engine) = &self.engine {
-            // Paged workers parked their models in the shared catalog at
-            // shutdown rather than handing them through join handles.
-            shards = engine.catalog.take_parked();
-        }
-        (stats, ShardedRegistry::restore(shards))
-    }
-
     /// Shuts down and hands the whole model catalog back — resident
     /// models parked live, stored snapshots and train specs intact — so
-    /// the caller can restart paged serving (or inspect the store)
-    /// without losing a single tier.
+    /// the caller can restart serving (or inspect the store) without
+    /// losing a single tier.
     ///
     /// # Errors
     ///
@@ -1242,79 +1116,33 @@ impl BatchServer {
     pub fn shutdown_with_catalog(
         mut self,
     ) -> Result<(Vec<(ShardKey, ShardStats)>, ModelCatalog), ServeError> {
-        let shards = self.stop();
+        self.stop();
         let stats = self.stats();
-        let catalog = match &self.engine {
-            Engine::Static { .. } => {
-                let mut catalog = ModelCatalog::new(CatalogBudget::Unbounded)?;
-                for (key, model) in shards {
-                    catalog.insert_sited(key, model)?;
-                }
-                catalog
-            }
-            Engine::Paged(engine) => engine.catalog.drain_into_catalog()?,
-        };
+        let catalog = self.engine.catalog.drain_into_catalog()?;
         Ok((stats, catalog))
     }
 
-    /// Sends the shutdown marker to every worker and joins them. Static
-    /// workers hand their localizers back; paged workers park theirs in
-    /// the shared catalog (and return an empty list here).
-    fn stop(&mut self) -> Vec<(ShardKey, Box<dyn Localizer>)> {
-        match &mut self.engine {
-            Engine::Static {
-                routes,
-                workers,
-                exact,
-                ..
-            } => {
-                for route in routes.values() {
-                    // A worker that already exited has dropped its
-                    // receiver; that is fine — nothing left to drain.
-                    let _ = route.tx.send(Job::Shutdown);
+    /// Sweeps the slot map, sending the shutdown marker to every worker,
+    /// and joins them; each worker parks its model in the shared catalog.
+    fn stop(&mut self) {
+        let engine = &self.engine;
+        engine.shutting_down.store(true, Ordering::Release);
+        let handles = {
+            let mut slots = relock(&engine.slots);
+            let keys: Vec<ShardKey> = slots.map.keys().copied().collect();
+            for key in keys {
+                if let Some(slot) = slots.map.remove(&key) {
+                    let tx = match slot {
+                        Slot::Warming { tx } | Slot::Hot { tx, .. } => tx,
+                    };
+                    // noble-lint: allow(lock-discipline, "unbounded channel: send never blocks; sweeping the map and sending markers under one lock guarantees no fix lands behind a shutdown marker")
+                    let _ = tx.send(Job::Shutdown);
                 }
-                workers
-                    .drain(..)
-                    .filter_map(|(key, handle)| match handle.join() {
-                        // A shard serving a lowered twin hands back its
-                        // exact progenitor; the twin is dropped.
-                        Ok(localizer) => Some((key, exact.remove(&key).unwrap_or(localizer))),
-                        Err(panic) => {
-                            // A panicked worker's model is gone; surface
-                            // the cause instead of silently dropping the
-                            // shard.
-                            let msg = panic
-                                .downcast_ref::<&str>()
-                                .map(|s| (*s).to_string())
-                                .or_else(|| panic.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "non-string panic payload".into());
-                            eprintln!("noble-serve: shard {key} worker panicked: {msg}");
-                            None
-                        }
-                    })
-                    .collect()
             }
-            Engine::Paged(engine) => {
-                engine.shutting_down.store(true, Ordering::Release);
-                let handles = {
-                    let mut slots = relock(&engine.slots);
-                    let keys: Vec<ShardKey> = slots.map.keys().copied().collect();
-                    for key in keys {
-                        if let Some(slot) = slots.map.remove(&key) {
-                            let tx = match slot {
-                                Slot::Warming { tx } | Slot::Hot { tx, .. } => tx,
-                            };
-                            // noble-lint: allow(lock-discipline, "unbounded channel: send never blocks; sweeping the map and sending markers under one lock guarantees no fix lands behind a shutdown marker")
-                            let _ = tx.send(Job::Shutdown);
-                        }
-                    }
-                    std::mem::take(&mut slots.workers)
-                };
-                for handle in handles {
-                    let _ = handle.join();
-                }
-                Vec::new()
-            }
+            std::mem::take(&mut slots.workers)
+        };
+        for handle in handles {
+            let _ = handle.join();
         }
     }
 }
@@ -1322,81 +1150,6 @@ impl BatchServer {
 impl Drop for BatchServer {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-/// One fully-resident shard's serve loop: block for the first request,
-/// hold the batch open under the latency budget, run one stacked
-/// inference, reply.
-fn shard_worker(
-    mut localizer: Box<dyn Localizer>,
-    key: ShardKey,
-    rx: Receiver<Job>,
-    cfg: BatchConfig,
-    stats: &Mutex<ShardStats>,
-    gauges: &ShardGauges,
-) -> Box<dyn Localizer> {
-    let feature_dim = localizer.info().feature_dim;
-    loop {
-        let first = match rx.recv() {
-            Ok(Job::Fix {
-                fingerprint,
-                enqueued,
-                reply,
-            }) => {
-                ShardGauges::dec(&gauges.queued);
-                (fingerprint, enqueued, reply)
-            }
-            Ok(Job::Shutdown | Job::Drain) | Err(_) => {
-                // Static submits are not ordered against the shutdown
-                // marker (no lock on this path), so fixes can land behind
-                // it: answer them with the typed rejection instead of
-                // stranding their reply channels.
-                reject_parked(&rx, ServeError::ShuttingDown, stats, gauges);
-                return localizer;
-            }
-        };
-        let mut batch = vec![first];
-        let mut saw_shutdown = false;
-        if cfg.max_batch > 1 {
-            // noble-lint: allow(wall-clock, "batching deadline only: batch boundaries never change answers (shape-invariant kernels)")
-            let deadline = Instant::now() + cfg.latency_budget;
-            while batch.len() < cfg.max_batch {
-                // noble-lint: allow(wall-clock, "remaining-budget poll for the coalescing wait; never feeds a result")
-                let now = Instant::now();
-                let wait = deadline.saturating_duration_since(now);
-                // recv_timeout(ZERO) still drains already-queued jobs, so
-                // a zero budget coalesces exactly the backlog.
-                match rx.recv_timeout(wait) {
-                    Ok(Job::Fix {
-                        fingerprint,
-                        enqueued,
-                        reply,
-                    }) => {
-                        ShardGauges::dec(&gauges.queued);
-                        batch.push((fingerprint, enqueued, reply));
-                    }
-                    Ok(Job::Shutdown | Job::Drain) => {
-                        saw_shutdown = true;
-                        break;
-                    }
-                    // Queue empty and the budget is spent (a zero `wait`
-                    // still drains queued jobs, so past the deadline the
-                    // loop keeps absorbing backlog without waiting until
-                    // the queue runs dry or the batch fills).
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        saw_shutdown = true;
-                        break;
-                    }
-                }
-            }
-        }
-        serve_batch(localizer.as_mut(), key, feature_dim, batch, stats, gauges);
-        if saw_shutdown {
-            reject_parked(&rx, ServeError::ShuttingDown, stats, gauges);
-            return localizer;
-        }
     }
 }
 

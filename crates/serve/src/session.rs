@@ -153,7 +153,8 @@ pub struct TrackedFix {
     /// the smoothed point.
     pub zone: Option<usize>,
     /// Whether the underlying shard was cold and the fix parked while
-    /// its model faulted in (demand-paged servers only).
+    /// its model faulted in (never on a pre-warmed resident fix tier
+    /// without an idle TTL).
     pub cold: bool,
 }
 
@@ -486,8 +487,10 @@ pub struct TrackingServer {
 }
 
 impl TrackingServer {
-    /// Starts tracking over a fully-resident [`BatchServer::start`].
-    /// Pass the campus map to snap smoothed tracks onto accessible
+    /// Starts tracking over a resident [`BatchServer::start`]: the fix
+    /// tier serves the registry's unbounded catalog, every shard's
+    /// worker and model pre-warmed before this returns. Pass the campus
+    /// map to snap smoothed tracks onto accessible
     /// space ([`SmootherConfig::snap_to_map`]); zone membership is
     /// tested against the smoothed (post-snap) position.
     ///
@@ -509,7 +512,7 @@ impl TrackingServer {
     }
 
     /// Starts tracking over a demand-paged [`BatchServer::start_paged`]:
-    /// the fix tier pages localizer models under the catalog budget
+    /// the fix tier lazily pages localizer models under the catalog budget
     /// while the session tier holds every live device — sessions are
     /// hundreds of bytes, models are not.
     ///
@@ -580,8 +583,8 @@ impl TrackingServer {
         self.server.stats()
     }
 
-    /// Demand-paging lifecycle counters; `None` when the fix tier is
-    /// fully resident.
+    /// The fix tier's demand-paging lifecycle counters (see
+    /// [`BatchServer::paged_stats`]); always `Some`.
     pub fn paged_stats(&self) -> Option<PagedStats> {
         self.server.paged_stats()
     }

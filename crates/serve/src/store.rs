@@ -14,7 +14,7 @@
 //!
 //! Stores take `&self` (interior mutability) and are `Send + Sync`, so a
 //! single store can back a catalog while shard workers fault models in
-//! and out concurrently ([`crate::BatchServer::start_paged`]) and an
+//! and out concurrently ([`crate::BatchServer`]) and an
 //! operator thread lists or evicts at the same time.
 //!
 //! # Examples
@@ -70,7 +70,7 @@ use std::sync::Mutex;
 /// Keyed durable storage of model snapshots.
 ///
 /// `Send + Sync` because one store is shared by every shard worker of a
-/// demand-paged [`crate::BatchServer`]: spin-downs write through and
+/// [`crate::BatchServer`]: spin-downs write through and
 /// faults read back concurrently, without a catalog-wide lock.
 pub trait ModelStore: Send + Sync {
     /// Inserts or replaces the snapshot stored for `key`.

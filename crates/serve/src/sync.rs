@@ -1,4 +1,5 @@
-//! Poisoning-tolerant lock helpers.
+//! Poisoning-tolerant lock helpers, shared by the serving stack
+//! (`noble-serve` and the `noble-net` edge).
 //!
 //! `std`'s `Mutex` poisons when a holder panics, and every subsequent
 //! `.lock().unwrap()` then panics too — one worker panic cascades
@@ -8,7 +9,7 @@
 //! semantics: poisoning is ignored and the guard is recovered with
 //! [`std::sync::PoisonError::into_inner`].
 //!
-//! That is sound here because every critical section in this crate
+//! That is sound here because every critical section in both crates
 //! leaves its protected state consistent at every await/panic point:
 //! state transitions are single assignments or collection ops, never
 //! multi-step invariants that a mid-section unwind could tear. (The

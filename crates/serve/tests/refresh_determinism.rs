@@ -27,7 +27,7 @@ use noble_geo::Point;
 use noble_serve::{
     BatchConfig, BatchServer, BufferLimits, CatalogBudget, FsStore, ModelCatalog, Observation,
     ObservationBuffer, ObservationKind, PushOutcome, RefreshConfig, RegistryConfig, ServeError,
-    ShardKey, ShardedRegistry,
+    ShardKey,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -90,20 +90,6 @@ fn serve_all(client: &noble_serve::ServeClient, key: ShardKey, probes: &[Vec<f64
         .iter()
         .map(|p| client.localize(key, p.clone()).unwrap())
         .collect()
-}
-
-#[test]
-fn refresher_requires_a_paged_server() {
-    let campaign = quick_campaign();
-    let registry =
-        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &RegistryConfig::default())
-            .unwrap();
-    let server = BatchServer::start(registry, serving_cfg()).unwrap();
-    assert!(matches!(
-        server.refresher(RefreshConfig::default()),
-        Err(ServeError::InvalidConfig(_))
-    ));
-    server.shutdown();
 }
 
 /// The sequential spine of the contract: versions activate in order,

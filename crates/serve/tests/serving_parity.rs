@@ -66,13 +66,14 @@ fn served_results_bit_identical_to_direct() {
     // budget (drain-the-backlog mode), and wide batches under a real
     // budget — all with several client threads submitting concurrently.
     // The same trained shards serve every regime (handed back through
-    // `shutdown_with_registry`), so any cross-regime difference is the
+    // `shutdown_with_catalog`), so any cross-regime difference is the
     // server's fault, not training noise.
-    let mut registry =
-        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &registry_cfg()).unwrap();
+    let mut catalog = ModelCatalog::from(
+        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &registry_cfg()).unwrap(),
+    );
     for (max_batch, budget_us) in [(1usize, 0u64), (4, 0), (64, 300), (256, 1000)] {
-        let server = BatchServer::start(
-            registry,
+        let server = BatchServer::start_paged(
+            catalog,
             BatchConfig {
                 max_batch,
                 latency_budget: Duration::from_micros(budget_us),
@@ -103,8 +104,8 @@ fn served_results_bit_identical_to_direct() {
             }
         });
 
-        let (stats, recovered) = server.shutdown_with_registry();
-        registry = recovered;
+        let (stats, recovered) = server.shutdown_with_catalog().unwrap();
+        catalog = recovered;
         let total: u64 = stats.iter().map(|(_, s)| s.requests).sum();
         let expected_total: u64 = reference.iter().map(|(_, r, _)| r.len() as u64).sum();
         assert_eq!(total, expected_total);
@@ -114,7 +115,70 @@ fn served_results_bit_identical_to_direct() {
             assert_eq!(s.errors, 0);
         }
     }
-    assert_eq!(registry.len(), reference.len(), "shards survive restarts");
+    assert_eq!(catalog.len(), reference.len(), "shards survive restarts");
+}
+
+/// `BatchServer::start` is the paged engine over the registry's
+/// unbounded catalog, pre-warmed: every shard's worker holds its model
+/// before the first request, so no fix ever parks cold, and the paged
+/// surfaces (stats, refresher) work on it too. CI greps for this test by
+/// name — do not rename it casually.
+#[test]
+fn resident_server_is_a_prewarmed_paged_server() {
+    let campaign = quick_campaign();
+    let reference = direct_reference(&campaign);
+    let registry =
+        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &registry_cfg()).unwrap();
+    let shard_count = registry.len();
+    assert_eq!(shard_count, reference.len());
+    let server = BatchServer::start(
+        registry,
+        BatchConfig {
+            max_batch: 32,
+            latency_budget: Duration::from_micros(200),
+            ..BatchConfig::default()
+        },
+    )
+    .unwrap();
+    let client = server.client();
+
+    let serve_and_check = |round: &str| {
+        for (key, rows, expected) in &reference {
+            let pending: Vec<_> = rows
+                .iter()
+                .map(|row| client.submit(*key, row.clone()).unwrap())
+                .collect();
+            for (i, p) in pending.into_iter().enumerate() {
+                assert!(!p.cold(), "{key} fix {i} parked cold ({round})");
+                assert_eq!(
+                    p.wait().unwrap(),
+                    expected[i],
+                    "{key} fix {i} differs from direct ({round})"
+                );
+            }
+        }
+    };
+    serve_and_check("before refresh");
+
+    let paged = server
+        .paged_stats()
+        .expect("every server reports paged stats");
+    assert_eq!(paged.hot_shards, shard_count, "{paged:?}");
+    assert_eq!(paged.faults as usize, shard_count, "{paged:?}");
+    assert_eq!(paged.drains, 0, "{paged:?}");
+
+    // A registry carries no training specs: refresh is a typed refusal,
+    // and the shard keeps serving its training-time model.
+    let refresher = server
+        .refresher(noble_serve::RefreshConfig::default())
+        .expect("every server hands out a refresher");
+    let key = reference[0].0;
+    assert!(matches!(
+        refresher.refresh(key),
+        Err(ServeError::InvalidConfig(_))
+    ));
+    serve_and_check("after refused refresh");
+    server.shutdown();
 }
 
 #[test]
@@ -391,16 +455,17 @@ fn lowered_precision_serving_is_gated_and_writes_back_exact() {
     let campaign = quick_campaign();
     let reference = direct_reference(&campaign);
 
-    // Resident sweep over the tiers, re-using the same trained shards.
-    let mut registry =
-        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &registry_cfg()).unwrap();
+    // Unbounded sweep over the tiers, re-using the same trained shards.
+    let mut catalog = ModelCatalog::from(
+        ShardedRegistry::train_wifi(&campaign, &fast_model_cfg(), &registry_cfg()).unwrap(),
+    );
     for precision in [
         noble::InferencePrecision::Exact,
         noble::InferencePrecision::F32,
         noble::InferencePrecision::Int8,
     ] {
-        let server = BatchServer::start(
-            registry,
+        let server = BatchServer::start_paged(
+            catalog,
             BatchConfig {
                 max_batch: 32,
                 latency_budget: Duration::from_micros(200),
@@ -437,8 +502,8 @@ fn lowered_precision_serving_is_gated_and_writes_back_exact() {
                 }
             }
         }
-        let (_, recovered) = server.shutdown_with_registry();
-        registry = recovered;
+        let (_, recovered) = server.shutdown_with_catalog().unwrap();
+        catalog = recovered;
     }
 
     // Demand-paged under heavy eviction pressure while serving int8:
